@@ -1282,6 +1282,71 @@ mod tests {
         assert_eq!(mats[0].mapped.capacity(), 4);
     }
 
+    /// Encodes a photonic snapshot, overwrites the first programmed
+    /// level-1 cell record (`level u64, transmission f64`) with
+    /// `(level, transmission)`, and decodes the result.
+    fn decode_with_crafted_opcm_cell(
+        level: u64,
+        transmission: f64,
+    ) -> Result<Prepared, ArtifactError> {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mapped = OpticalTacitMapped::program(&weights(6, 12, 2), 16, 16, 4, &mut rng).unwrap();
+        let p = Prepared {
+            meta: PreparedMeta {
+                backend: PreparedBackend::Photonic,
+                seed: 5,
+                noisy: false,
+                drift_t_ratio: None,
+                fault: None,
+            },
+            state: PreparedState::Photonic(vec![PhotonicMat {
+                mapped,
+                rng_state: [1, 2, 3, 4],
+                lanes: 0,
+            }]),
+        };
+        let mut bytes = encode_prepared(&p).unwrap();
+        let record: Vec<u8> = 1u64
+            .to_le_bytes()
+            .into_iter()
+            .chain(OpcmParams::ideal_binary().t_high.to_le_bytes())
+            .collect();
+        let at = bytes
+            .windows(16)
+            .position(|w| w == record.as_slice())
+            .expect("a programmed level-1 cell record");
+        bytes[at..at + 8].copy_from_slice(&level.to_le_bytes());
+        bytes[at + 8..at + 16].copy_from_slice(&transmission.to_le_bytes());
+        decode_prepared(&bytes)
+    }
+
+    #[test]
+    fn crafted_opcm_level_beyond_the_device_levels_is_malformed() {
+        assert!(decode_with_crafted_opcm_cell(1, 0.6).is_ok());
+        for level in [2, 255, u64::from(u32::MAX)] {
+            assert!(
+                matches!(
+                    decode_with_crafted_opcm_cell(level, 0.6),
+                    Err(ArtifactError::Malformed { .. })
+                ),
+                "level {level}"
+            );
+        }
+    }
+
+    #[test]
+    fn crafted_opcm_transmission_outside_unit_range_is_malformed() {
+        for t in [f64::NAN, f64::NEG_INFINITY, -1e-9, 1.0 + 1e-9] {
+            assert!(
+                matches!(
+                    decode_with_crafted_opcm_cell(1, t),
+                    Err(ArtifactError::Malformed { .. })
+                ),
+                "transmission {t}"
+            );
+        }
+    }
+
     #[test]
     fn meta_backend_must_match_state() {
         let p = Prepared {

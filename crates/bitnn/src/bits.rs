@@ -27,6 +27,15 @@ pub(crate) fn iter_set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// The low `n ≤ 64` bits set.
+fn low_mask(n: usize) -> u64 {
+    if n >= WORD_BITS {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
 /// A bit-packed binary vector over {0, 1}.
 ///
 /// Bit `1` encodes bipolar `+1`, bit `0` encodes bipolar `-1`.
@@ -297,16 +306,8 @@ impl BitVec {
     /// Concatenates `self` followed by `other`.
     pub fn concat(&self, other: &Self) -> Self {
         let mut out = Self::zeros(self.len + other.len);
-        for i in 0..self.len {
-            if self.get(i) == Some(true) {
-                out.set(i, true);
-            }
-        }
-        for i in 0..other.len {
-            if other.get(i) == Some(true) {
-                out.set(self.len + i, true);
-            }
-        }
+        out.copy_range_from(0, self, 0, self.len);
+        out.copy_range_from(self.len, other, 0, other.len);
         out
     }
 
@@ -335,12 +336,50 @@ impl BitVec {
     pub fn slice(&self, start: usize, len: usize) -> Self {
         assert!(start + len <= self.len, "slice out of range");
         let mut out = Self::zeros(len);
-        for i in 0..len {
-            if self.get(start + i) == Some(true) {
-                out.set(i, true);
-            }
-        }
+        out.copy_range_from(0, self, start, len);
         out
+    }
+
+    /// Overwrites bits `[at, at + len)` with `src` bits
+    /// `[start, start + len)`, one destination word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range exceeds its vector.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use eb_bitnn::BitVec;
+    /// let src = BitVec::from_bools(&[true, true, false, true]);
+    /// let mut dst = BitVec::zeros(6);
+    /// dst.copy_range_from(3, &src, 1, 3);
+    /// assert_eq!(dst.iter_ones().collect::<Vec<_>>(), vec![3, 5]);
+    /// ```
+    pub fn copy_range_from(&mut self, at: usize, src: &Self, start: usize, len: usize) {
+        assert!(
+            at + len <= self.len && start + len <= src.len,
+            "range copy out of bounds"
+        );
+        let mut done = 0;
+        while done < len {
+            let (w, b) = ((at + done) / WORD_BITS, (at + done) % WORD_BITS);
+            let n = (WORD_BITS - b).min(len - done);
+            let mask = low_mask(n) << b;
+            let bits = src.bits_at(start + done, n) << b;
+            self.words[w] = (self.words[w] & !mask) | bits;
+            done += n;
+        }
+    }
+
+    /// The `n ≤ 64` bits starting at `at`, right-aligned.
+    fn bits_at(&self, at: usize, n: usize) -> u64 {
+        let (w, b) = (at / WORD_BITS, at % WORD_BITS);
+        let mut bits = self.words[w] >> b;
+        if b + n > WORD_BITS {
+            bits |= self.words[w + 1] << (WORD_BITS - b);
+        }
+        bits & low_mask(n)
     }
 
     /// Converts to a vector of booleans.
@@ -520,6 +559,34 @@ mod tests {
         let b = BitVec::from_bools(&[false, true, true]);
         let c = a.concat(&b);
         assert_eq!(c.to_bools(), vec![true, false, false, true, true]);
+    }
+
+    #[test]
+    fn range_copy_matches_bitwise_copy_across_word_boundaries() {
+        let src: BitVec = (0..200).map(|i| (i * 7 + i / 3) % 5 < 2).collect();
+        for (at, start, len) in [
+            (0, 0, 0),
+            (0, 0, 200),
+            (5, 3, 64),
+            (63, 1, 70),
+            (64, 64, 64),
+            (1, 127, 73),
+            (130, 0, 70),
+        ] {
+            let mut dst: BitVec = (0..200).map(|i| i % 3 == 0).collect();
+            let mut want = dst.clone();
+            for i in 0..len {
+                want.set(at + i, src.get(start + i) == Some(true));
+            }
+            dst.copy_range_from(at, &src, start, len);
+            assert_eq!(dst, want, "at={at} start={start} len={len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn range_copy_past_the_end_panics() {
+        BitVec::zeros(8).copy_range_from(4, &BitVec::ones(8), 0, 5);
     }
 
     #[test]

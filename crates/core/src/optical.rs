@@ -8,7 +8,7 @@
 //! attenuation → photodetector + TIA → count recovery) is exercised.
 
 use eb_bitnn::{BitMatrix, BitVec};
-use eb_mapping::MappingError;
+use eb_mapping::{chunk_drive, MappingError};
 use eb_photonics::{OpcmParams, OpticalCrossbar, PhotonicsError, Receiver, Transmitter};
 use rand::Rng;
 use std::sync::Arc;
@@ -349,21 +349,9 @@ impl OpticalTacitMapped {
             let lo = rc * self.chunk_len;
             let hi = (lo + self.chunk_len).min(self.m);
             let len = hi - lo;
-            // Build the per-lane physical drives [pos ; neg ; 0…].
             let drives: Vec<BitVec> = lanes
                 .iter()
-                .map(|(pos, neg)| {
-                    let mut d = BitVec::zeros(self.rows);
-                    for i in 0..len {
-                        if pos.get(lo + i) == Some(true) {
-                            d.set(i, true);
-                        }
-                        if neg.get(lo + i) == Some(true) {
-                            d.set(len + i, true);
-                        }
-                    }
-                    d
-                })
+                .map(|(pos, neg)| chunk_drive(pos, neg, lo, len, self.rows))
                 .collect();
             let frame = self.transmitter.encode(&drives)?;
             for (cc, xbar) in row.iter().enumerate() {

@@ -18,6 +18,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::ParallelSlice;
 
+/// Builds the physical `[pos ; neg ; 0…]` drive of one row chunk: bits
+/// `lo..lo + len` of the weight half `pos` on rows `0..len`, the same
+/// bits of the complement half `neg` on rows `len..2·len`, zero-padded
+/// to `rows`. This is the one place the TacitMap drive layout lives —
+/// the electronic chunk walks and the optical WDM step both use it.
+///
+/// # Panics
+///
+/// Panics if `2 · len > rows` or `lo + len` exceeds either half.
+pub fn chunk_drive(pos: &BitVec, neg: &BitVec, lo: usize, len: usize, rows: usize) -> BitVec {
+    let mut drive = BitVec::zeros(rows);
+    drive.copy_range_from(0, pos, lo, len);
+    drive.copy_range_from(len, neg, lo, len);
+    drive
+}
+
 /// A binary weight matrix programmed onto crossbars in TacitMap layout.
 ///
 /// # Examples
@@ -318,24 +334,6 @@ impl TacitMapped {
         (lo, hi - lo)
     }
 
-    /// Builds the physical `[pos ; neg]` drive for one row chunk: the
-    /// weight half occupies rows `0..len`, the complement half rows
-    /// `len..2·len`, zero-padded to the crossbar height. This is the one
-    /// place the TacitMap drive layout lives — both the single-vector and
-    /// batched execution paths go through it.
-    fn chunk_drive(&self, pos: &BitVec, neg: &BitVec, lo: usize, len: usize) -> BitVec {
-        let mut drive = BitVec::zeros(self.cfg.rows);
-        for i in 0..len {
-            if pos.get(lo + i) == Some(true) {
-                drive.set(i, true);
-            }
-            if neg.get(lo + i) == Some(true) {
-                drive.set(len + i, true);
-            }
-        }
-        drive
-    }
-
     /// Executes one input vector: a single parallel crossbar activation
     /// across all chunks, returning `popcount(input ⊙ Wⱼ)` for every `j`.
     ///
@@ -383,7 +381,7 @@ impl TacitMapped {
         let mut energy = 0.0;
         for (rc, row) in self.engines.iter().enumerate() {
             let (lo, len) = self.chunk_bounds(rc);
-            let drive = self.chunk_drive(pos, neg, lo, len);
+            let drive = chunk_drive(pos, neg, lo, len, self.cfg.rows);
             let active = drive.popcount() as usize;
             for (cc, engine) in row.iter().enumerate() {
                 let jlo = cc * self.cfg.cols;
@@ -531,7 +529,7 @@ impl TacitMapped {
             let (lo, len) = self.chunk_bounds(rc);
             let drives: Vec<BitVec> = pairs
                 .iter()
-                .map(|(pos, neg)| self.chunk_drive(pos, neg, lo, len))
+                .map(|(pos, neg)| chunk_drive(pos, neg, lo, len, self.cfg.rows))
                 .collect();
             // vmm_step_joules is linear in each argument, so the whole
             // batch's charge collapses into one call on the summed rows.
@@ -577,7 +575,7 @@ impl TacitMapped {
             let (lo, len) = self.chunk_bounds(rc);
             let drives: Vec<BitVec> = pairs
                 .iter()
-                .map(|(pos, neg)| self.chunk_drive(pos, neg, lo, len))
+                .map(|(pos, neg)| chunk_drive(pos, neg, lo, len, self.cfg.rows))
                 .collect();
             drives_by_rc.push(drives);
         }

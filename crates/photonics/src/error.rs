@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors produced by photonic components.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PhotonicsError {
     /// More vectors offered than the WDM capacity supports.
@@ -41,6 +41,16 @@ pub enum PhotonicsError {
         /// Available levels.
         levels: usize,
     },
+    /// A restored device transmission that is not a finite value in
+    /// `[0, 1]`.
+    InvalidTransmission {
+        /// Device row.
+        row: usize,
+        /// Device column.
+        col: usize,
+        /// The rejected transmission.
+        transmission: f64,
+    },
 }
 
 impl fmt::Display for PhotonicsError {
@@ -67,6 +77,14 @@ impl fmt::Display for PhotonicsError {
             Self::InvalidLevel { level, levels } => {
                 write!(f, "level {level} out of range for a {levels}-level device")
             }
+            Self::InvalidTransmission {
+                row,
+                col,
+                transmission,
+            } => write!(
+                f,
+                "device ({row}, {col}) transmission {transmission} is outside [0, 1]"
+            ),
         }
     }
 }

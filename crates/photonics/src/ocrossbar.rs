@@ -13,7 +13,32 @@ use crate::transmitter::WdmFrame;
 use eb_bitnn::BitMatrix;
 use rand::Rng;
 
+/// Level tag of a cell that was never programmed; a programmed cell at
+/// level `l` stores tag `l + 1`.
+const UNPROGRAMMED: u16 = 0;
+
 /// An optical crossbar of binary oPCM devices.
+///
+/// The device grid has one store, split into two row-major arrays that
+/// [`OpticalCrossbar::program_bit`] and [`OpticalCrossbar::from_parts`]
+/// keep in sync:
+///
+/// * the `f64` transmission of every cell, pristine (unprogrammed)
+///   cells holding `t_high` because amorphous GST is transparent — the
+///   array [`OpticalCrossbar::mmm_counts`] reads;
+/// * a 2-byte level tag per cell (`0` = unprogrammed, `l + 1` = level
+///   `l`) for [`OpticalCrossbar::device`], the stored bits and
+///   serialization.
+///
+/// **Accumulation contract.** Each column's power for lane `k` is
+/// `Σ_r p[k][r] · T[r][c]`, added in row order `r = 0..rows` from
+/// `-0.0` (as `Iterator::sum` does) with a plain multiply and add — no
+/// fused multiply-add. The kernel walks rows in the outer loop and
+/// updates every lane's column sums in the inner loops, so it
+/// vectorises across columns and streams the transmission grid once per
+/// call, yet every sum is bit-identical to the per-column serial chain.
+/// Receiver reads stay in lane-major, column-minor order, one per
+/// physical column, so a noisy receiver draws the same RNG stream.
 ///
 /// # Examples
 ///
@@ -36,7 +61,10 @@ pub struct OpticalCrossbar {
     rows: usize,
     cols: usize,
     params: OpcmParams,
-    devices: Vec<Option<OpcmDevice>>,
+    /// Row-major cell transmissions; unprogrammed cells hold `t_high`.
+    transmissions: Vec<f64>,
+    /// Row-major level tags ([`UNPROGRAMMED`] or `level + 1`).
+    level_tags: Vec<u16>,
     writes: u64,
 }
 
@@ -46,18 +74,20 @@ impl OpticalCrossbar {
         Self {
             rows,
             cols,
+            transmissions: vec![params.t_high; rows * cols],
+            level_tags: vec![UNPROGRAMMED; rows * cols],
             params,
-            devices: vec![None; rows * cols],
             writes: 0,
         }
     }
 
     /// Approximate resident bytes of this crossbar (struct plus the
-    /// device grid) — the memory-accounting surface for shared-weight
-    /// replica telemetry.
+    /// transmission and level-tag arrays) — the memory-accounting
+    /// surface for shared-weight replica telemetry.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.devices.capacity() * std::mem::size_of::<Option<OpcmDevice>>()
+            + self.transmissions.capacity() * std::mem::size_of::<f64>()
+            + self.level_tags.capacity() * std::mem::size_of::<u16>()
     }
 
     /// Rows (input waveguides).
@@ -81,11 +111,18 @@ impl OpticalCrossbar {
     }
 
     /// The device at `(r, c)`, or `None` if unprogrammed or out of range.
-    pub fn device(&self, r: usize, c: usize) -> Option<&OpcmDevice> {
+    pub fn device(&self, r: usize, c: usize) -> Option<OpcmDevice> {
         if r >= self.rows || c >= self.cols {
             return None;
         }
-        self.devices[self.idx(r, c)].as_ref()
+        let i = self.idx(r, c);
+        match self.level_tags[i] {
+            UNPROGRAMMED => None,
+            tag => Some(OpcmDevice::from_parts(
+                usize::from(tag - 1),
+                self.transmissions[i],
+            )),
+        }
     }
 
     /// Rebuilds a crossbar from serialized state: the exact device grid
@@ -96,7 +133,10 @@ impl OpticalCrossbar {
     /// # Errors
     ///
     /// Returns [`PhotonicsError::DimensionMismatch`] when the grid length
-    /// differs from `rows * cols`.
+    /// differs from `rows * cols`, [`PhotonicsError::InvalidLevel`] for a
+    /// device level `params` cannot program, and
+    /// [`PhotonicsError::InvalidTransmission`] for a device transmission
+    /// that is not a finite value in `[0, 1]`.
     pub fn from_parts(
         rows: usize,
         cols: usize,
@@ -111,24 +151,50 @@ impl OpticalCrossbar {
                 got: devices.len(),
             });
         }
-        Ok(Self {
-            rows,
-            cols,
-            params,
-            devices,
-            writes,
-        })
+        let mut xbar = Self::new(rows, cols, params);
+        xbar.writes = writes;
+        for (i, device) in devices.iter().enumerate() {
+            let Some(d) = device else { continue };
+            let (r, c) = (i / cols, i % cols);
+            if !(0.0..=1.0).contains(&d.transmission()) {
+                return Err(PhotonicsError::InvalidTransmission {
+                    row: r,
+                    col: c,
+                    transmission: d.transmission(),
+                });
+            }
+            xbar.store(r, c, d)?;
+        }
+        Ok(xbar)
     }
 
     fn idx(&self, r: usize, c: usize) -> usize {
         r * self.cols + c
     }
 
+    /// Writes one device into both arrays, rejecting a level `params`
+    /// cannot program or the level tags cannot hold.
+    fn store(&mut self, r: usize, c: usize, d: &OpcmDevice) -> Result<(), PhotonicsError> {
+        let tag = Some(d.level())
+            .filter(|&l| l < self.params.levels)
+            .and_then(|l| u16::try_from(l + 1).ok())
+            .ok_or(PhotonicsError::InvalidLevel {
+                level: d.level(),
+                levels: self.params.levels,
+            })?;
+        let i = self.idx(r, c);
+        self.level_tags[i] = tag;
+        self.transmissions[i] = d.transmission();
+        Ok(())
+    }
+
     /// Programs one device to a binary state.
     ///
     /// # Errors
     ///
-    /// Returns [`PhotonicsError::OutOfBounds`] outside the array.
+    /// Returns [`PhotonicsError::OutOfBounds`] outside the array and
+    /// [`PhotonicsError::InvalidLevel`] when the top level of
+    /// `params.levels` exceeds the level-tag range (65 534).
     pub fn program_bit(
         &mut self,
         r: usize,
@@ -144,8 +210,8 @@ impl OpticalCrossbar {
                 cols: self.cols,
             });
         }
-        let i = self.idx(r, c);
-        self.devices[i] = Some(OpcmDevice::program_bit(bit, &self.params, rng));
+        let device = OpcmDevice::program_bit(bit, &self.params, rng);
+        self.store(r, c, &device)?;
         self.writes += 1;
         Ok(())
     }
@@ -179,20 +245,26 @@ impl OpticalCrossbar {
 
     /// Stored bit of a device (`None` if unprogrammed or out of range).
     pub fn stored_bit(&self, r: usize, c: usize) -> Option<bool> {
-        if r >= self.rows || c >= self.cols {
-            return None;
-        }
-        self.devices[self.idx(r, c)]
-            .as_ref()
-            .map(OpcmDevice::stored_bit)
+        self.device(r, c).as_ref().map(OpcmDevice::stored_bit)
     }
 
-    fn transmission(&self, r: usize, c: usize) -> f64 {
-        match &self.devices[self.idx(r, c)] {
-            Some(d) => d.transmission(),
-            // Pristine GST is amorphous (transparent).
-            None => self.params.t_high,
+    /// Optical power (mW) reaching each column, lane-major:
+    /// `powers[k * cols + c]` for lane `k`, under the accumulation
+    /// contract in the type docs.
+    fn column_powers(&self, frame: &WdmFrame) -> Vec<f64> {
+        let cols = self.cols;
+        let lanes = frame.powers();
+        let mut sums = vec![-0.0; lanes.len() * cols];
+        for r in 0..self.rows {
+            let t_row = &self.transmissions[r * cols..(r + 1) * cols];
+            for (k, row_powers) in lanes.iter().enumerate() {
+                let p = row_powers[r];
+                for (sum, &t) in sums[k * cols..(k + 1) * cols].iter_mut().zip(t_row) {
+                    *sum += p * t;
+                }
+            }
         }
+        sums
     }
 
     /// One WDM MMM step: all wavelengths of `frame` traverse the crossbar
@@ -220,32 +292,32 @@ impl OpticalCrossbar {
                 got: frame.rows(),
             });
         }
+        let powers = self.column_powers(frame);
         let p_on = frame.on_power_mw();
         let unit_v = receiver.tia.gain_ohm
             * receiver.detector.responsivity
             * (p_on * 1e-3)
             * (self.params.t_high - self.params.t_low);
-        let mut out = Vec::with_capacity(frame.wavelengths());
-        for (k, row_powers) in frame.powers().iter().enumerate() {
-            let mut counts = Vec::with_capacity(self.cols);
-            for c in 0..self.cols {
-                let power_mw: f64 = (0..self.rows)
-                    .map(|r| row_powers[r] * self.transmission(r, c))
-                    .sum();
-                let v = receiver.receive_mw(power_mw, rng);
-                // Subtract the known offsets: dark current and the t_low
-                // leakage of the input's active rows.
-                let v_dark = receiver.tia.gain_ohm * receiver.detector.dark_current_a;
+        // Subtract the known offsets: dark current and the t_low leakage
+        // of the input's active rows.
+        let v_dark = receiver.tia.gain_ohm * receiver.detector.dark_current_a;
+        let out = (0..frame.wavelengths())
+            .map(|k| {
                 let v_leak = receiver.tia.gain_ohm
                     * receiver.detector.responsivity
                     * (p_on * 1e-3)
                     * self.params.t_low
                     * frame.active_rows(k) as f64;
-                let count = ((v - v_dark - v_leak) / unit_v).round();
-                counts.push(count.clamp(0.0, self.rows as f64) as u32);
-            }
-            out.push(counts);
-        }
+                powers[k * self.cols..(k + 1) * self.cols]
+                    .iter()
+                    .map(|&power_mw| {
+                        let v = receiver.receive_mw(power_mw, rng);
+                        let count = ((v - v_dark - v_leak) / unit_v).round();
+                        count.clamp(0.0, self.rows as f64) as u32
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(out)
     }
 }
@@ -260,6 +332,151 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(8)
+    }
+
+    /// The per-device reference walk the lane-major kernel replaced:
+    /// every column summed as its own serial chain over
+    /// [`OpticalCrossbar::device`]. Returns the lane-major column powers
+    /// and the counts.
+    fn reference_walk(
+        xbar: &OpticalCrossbar,
+        frame: &WdmFrame,
+        receiver: &Receiver,
+        rng: &mut impl Rng,
+    ) -> (Vec<f64>, Vec<Vec<u32>>) {
+        let transmission = |r: usize, c: usize| match xbar.device(r, c) {
+            Some(d) => d.transmission(),
+            None => xbar.params.t_high,
+        };
+        let p_on = frame.on_power_mw();
+        let unit_v = receiver.tia.gain_ohm
+            * receiver.detector.responsivity
+            * (p_on * 1e-3)
+            * (xbar.params.t_high - xbar.params.t_low);
+        let mut powers = Vec::new();
+        let mut out = Vec::new();
+        for (k, row_powers) in frame.powers().iter().enumerate() {
+            let mut counts = Vec::new();
+            for c in 0..xbar.cols {
+                let power_mw: f64 = (0..xbar.rows)
+                    .map(|r| row_powers[r] * transmission(r, c))
+                    .sum();
+                powers.push(power_mw);
+                let v = receiver.receive_mw(power_mw, rng);
+                let v_dark = receiver.tia.gain_ohm * receiver.detector.dark_current_a;
+                let v_leak = receiver.tia.gain_ohm
+                    * receiver.detector.responsivity
+                    * (p_on * 1e-3)
+                    * xbar.params.t_low
+                    * frame.active_rows(k) as f64;
+                let count = ((v - v_dark - v_leak) / unit_v).round();
+                counts.push(count.clamp(0.0, xbar.rows as f64) as u32);
+            }
+            out.push(counts);
+        }
+        (powers, out)
+    }
+
+    /// A seeded random grid: multi-level noisy devices on some seeds, a
+    /// programmed sub-rectangle that leaves unprogrammed cells, and on
+    /// odd seeds a copy restored through `from_parts`.
+    fn random_grid(seed: u64) -> OpticalCrossbar {
+        let mut g = StdRng::seed_from_u64(seed);
+        let (rows, cols) = (g.gen_range(1..80), g.gen_range(1..40));
+        let params = match seed % 3 {
+            0 => OpcmParams::ideal_binary(),
+            1 => OpcmParams::with_levels(4, 0.03),
+            _ => OpcmParams::with_levels(2, 0.05),
+        };
+        let mut xbar = OpticalCrossbar::new(rows, cols, params);
+        let bits = BitMatrix::from_fn(g.gen_range(0..=rows), g.gen_range(0..=cols), |_, _| {
+            g.gen::<bool>()
+        });
+        xbar.program_matrix(&bits, &mut g).unwrap();
+        if seed % 2 == 1 {
+            let devices = (0..rows * cols)
+                .map(|i| xbar.device(i / cols, i % cols))
+                .collect();
+            xbar =
+                OpticalCrossbar::from_parts(rows, cols, xbar.params.clone(), devices, 7).unwrap();
+        }
+        xbar
+    }
+
+    #[test]
+    fn lane_major_kernel_matches_the_per_device_walk_bit_for_bit() {
+        let mut high_noise = Receiver::noisy();
+        high_noise.tia.rin_db_hz = -130.0;
+        for seed in 0..60u64 {
+            let xbar = random_grid(seed);
+            let mut g = StdRng::seed_from_u64(seed ^ 0xF00D);
+            let lanes = g.gen_range(1..=16);
+            let drives: Vec<BitVec> = (0..lanes)
+                .map(|_| (0..xbar.rows()).map(|_| g.gen::<bool>()).collect())
+                .collect();
+            let frame = Transmitter::with_capacity(16).encode(&drives).unwrap();
+            let want_powers = reference_walk(&xbar, &frame, &Receiver::ideal(), &mut g).0;
+            let got_powers = xbar.column_powers(&frame);
+            assert_eq!(
+                got_powers.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                want_powers.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                "seed {seed}: column powers"
+            );
+            for rx in [Receiver::ideal(), Receiver::noisy(), high_noise.clone()] {
+                let mut r_new = StdRng::seed_from_u64(seed);
+                let mut r_ref = r_new.clone();
+                let got = xbar.mmm_counts(&frame, &rx, &mut r_new).unwrap();
+                let want = reference_walk(&xbar, &frame, &rx, &mut r_ref).1;
+                assert_eq!(got, want, "seed {seed}: counts");
+                assert_eq!(
+                    r_new.gen::<u64>(),
+                    r_ref.gen::<u64>(),
+                    "seed {seed}: RNG position"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn device_view_round_trips_through_from_parts() {
+        let xbar = random_grid(4);
+        let (rows, cols) = (xbar.rows(), xbar.cols());
+        let devices: Vec<_> = (0..rows * cols)
+            .map(|i| xbar.device(i / cols, i % cols))
+            .collect();
+        assert!(devices.iter().any(Option::is_none));
+        let back = OpticalCrossbar::from_parts(rows, cols, xbar.params.clone(), devices.clone(), 3)
+            .unwrap();
+        assert_eq!(back.write_count(), 3);
+        for (i, d) in devices.iter().enumerate() {
+            assert_eq!(&back.device(i / cols, i % cols), d);
+        }
+        assert_eq!(back.approx_bytes(), xbar.approx_bytes());
+    }
+
+    #[test]
+    fn from_parts_rejects_unprogrammable_levels_and_transmissions() {
+        let params = OpcmParams::with_levels(4, 0.0);
+        let restore = |d: OpcmDevice| {
+            OpticalCrossbar::from_parts(1, 2, params.clone(), vec![None, Some(d)], 0)
+        };
+        assert!(restore(OpcmDevice::from_parts(3, 0.6)).is_ok());
+        assert!(matches!(
+            restore(OpcmDevice::from_parts(4, 0.6)),
+            Err(PhotonicsError::InvalidLevel {
+                level: 4,
+                levels: 4
+            })
+        ));
+        for t in [f64::NAN, f64::INFINITY, -0.1, 1.5] {
+            assert!(
+                matches!(
+                    restore(OpcmDevice::from_parts(1, t)),
+                    Err(PhotonicsError::InvalidTransmission { row: 0, col: 1, .. })
+                ),
+                "transmission {t}"
+            );
+        }
     }
 
     #[test]

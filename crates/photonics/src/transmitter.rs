@@ -183,9 +183,14 @@ impl Transmitter {
 
     /// On-state row power after comb, DMUX, VOA and MUX losses (mW).
     pub fn on_power_mw(&self) -> f64 {
+        self.row_power_mw(true)
+    }
+
+    /// Row power for one bit after comb, DMUX, VOA and MUX losses (mW).
+    fn row_power_mw(&self, bit: bool) -> f64 {
         let line = self.comb.line_power_mw(&self.laser);
         self.mux
-            .pass_mw(self.voa.encode_mw(self.dmux.pass_mw(line), true))
+            .pass_mw(self.voa.encode_mw(self.dmux.pass_mw(line), bit))
     }
 
     /// Encodes up to `K` equal-length binary vectors into a WDM frame.
@@ -203,7 +208,8 @@ impl Transmitter {
             });
         }
         let rows = vectors.first().map_or(0, BitVec::len);
-        let line = self.comb.line_power_mw(&self.laser);
+        // Every row carries one of two powers; compute each once.
+        let [off, on] = [false, true].map(|bit| self.row_power_mw(bit));
         let mut powers = Vec::with_capacity(vectors.len());
         let mut active = Vec::with_capacity(vectors.len());
         for v in vectors {
@@ -214,19 +220,16 @@ impl Transmitter {
                     got: v.len(),
                 });
             }
-            let row_powers: Vec<f64> = (0..rows)
-                .map(|r| {
-                    let bit = v.get(r) == Some(true);
-                    self.mux
-                        .pass_mw(self.voa.encode_mw(self.dmux.pass_mw(line), bit))
-                })
-                .collect();
+            let mut row_powers = vec![off; rows];
+            for r in v.iter_ones() {
+                row_powers[r] = on;
+            }
             active.push(v.popcount() as usize);
             powers.push(row_powers);
         }
         Ok(WdmFrame {
             powers,
-            on_power_mw: self.on_power_mw(),
+            on_power_mw: on,
             active_rows: active,
         })
     }
