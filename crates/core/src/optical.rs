@@ -344,6 +344,11 @@ impl OpticalTacitMapped {
                 .into());
             }
         }
+        // No lanes, no light: an empty step is not a step, and it must
+        // not reach the transmitter, whose empty frame drives no rows.
+        if lanes.is_empty() {
+            return Ok(Vec::new());
+        }
         let mut acc = vec![vec![0u32; self.n]; lanes.len()];
         for (rc, row) in self.xbars.iter().enumerate() {
             let lo = rc * self.chunk_len;
@@ -446,6 +451,20 @@ mod tests {
                 .sum();
             assert_eq!(counts[0][j] as i32 - counts[1][j] as i32, signed);
         }
+    }
+
+    #[test]
+    fn zero_lanes_return_no_counts_without_a_step_or_rng_draw() {
+        let w = random_bits(5, 12, 4);
+        let mut r = rng();
+        let mut mapped = OpticalTacitMapped::program(&w, 16, 8, 4, &mut r).unwrap();
+        mapped.set_receiver(Receiver::noisy());
+        let before = r.clone().gen::<u64>();
+        assert!(mapped.execute_wdm(&[], &mut r).unwrap().is_empty());
+        assert!(mapped.execute_wdm_raw(&[], &mut r).unwrap().is_empty());
+        assert!(mapped.execute_wdm_ref(&[], &mut r).unwrap().is_empty());
+        assert_eq!(mapped.steps_taken(), 0);
+        assert_eq!(r.gen::<u64>(), before, "an empty step drew from the RNG");
     }
 
     #[test]

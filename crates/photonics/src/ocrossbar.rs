@@ -40,6 +40,18 @@ const UNPROGRAMMED: u16 = 0;
 /// Receiver reads stay in lane-major, column-minor order, one per
 /// physical column, so a noisy receiver draws the same RNG stream.
 ///
+/// **Shared pristine chain.** The crossbar tracks `live_cols`, one past
+/// the highest column any device was ever stored into (by
+/// [`OpticalCrossbar::program_bit`] or [`OpticalCrossbar::from_parts`]).
+/// Every column from `live_cols` on is unprogrammed in every row, so it
+/// holds `t_high` throughout and its row-order sum `Σ_r p[k][r] · t_high`
+/// is the same `f64` for all of them. The kernel walks the grid only over
+/// columns `0..live_cols` and sums that one chain per lane (seeded with
+/// `-0.0`, same row order, plain multiply and add), then copies it into
+/// the remaining columns — bit-identical to summing each of them. A
+/// TacitMap layer whose outputs fill half of its last column chunk thus
+/// skips half of that crossbar's work.
+///
 /// # Examples
 ///
 /// ```
@@ -65,6 +77,9 @@ pub struct OpticalCrossbar {
     transmissions: Vec<f64>,
     /// Row-major level tags ([`UNPROGRAMMED`] or `level + 1`).
     level_tags: Vec<u16>,
+    /// One past the highest column holding a programmed level tag:
+    /// columns `live_cols..cols` are pristine in every row.
+    live_cols: usize,
     writes: u64,
 }
 
@@ -76,6 +91,7 @@ impl OpticalCrossbar {
             cols,
             transmissions: vec![params.t_high; rows * cols],
             level_tags: vec![UNPROGRAMMED; rows * cols],
+            live_cols: 0,
             params,
             writes: 0,
         }
@@ -185,6 +201,7 @@ impl OpticalCrossbar {
         let i = self.idx(r, c);
         self.level_tags[i] = tag;
         self.transmissions[i] = d.transmission();
+        self.live_cols = self.live_cols.max(c + 1);
         Ok(())
     }
 
@@ -252,17 +269,24 @@ impl OpticalCrossbar {
     /// `powers[k * cols + c]` for lane `k`, under the accumulation
     /// contract in the type docs.
     fn column_powers(&self, frame: &WdmFrame) -> Vec<f64> {
-        let cols = self.cols;
+        let (cols, live) = (self.cols, self.live_cols);
+        let t_high = self.params.t_high;
         let lanes = frame.powers();
         let mut sums = vec![-0.0; lanes.len() * cols];
+        // One chain per lane stands in for every pristine column.
+        let mut pristine = vec![-0.0; lanes.len()];
         for r in 0..self.rows {
-            let t_row = &self.transmissions[r * cols..(r + 1) * cols];
+            let t_row = &self.transmissions[r * cols..r * cols + live];
             for (k, row_powers) in lanes.iter().enumerate() {
                 let p = row_powers[r];
-                for (sum, &t) in sums[k * cols..(k + 1) * cols].iter_mut().zip(t_row) {
+                for (sum, &t) in sums[k * cols..k * cols + live].iter_mut().zip(t_row) {
                     *sum += p * t;
                 }
+                pristine[k] += p * t_high;
             }
+        }
+        for (k, &power) in pristine.iter().enumerate() {
+            sums[k * cols + live..(k + 1) * cols].fill(power);
         }
         sums
     }
@@ -394,46 +418,92 @@ mod tests {
         });
         xbar.program_matrix(&bits, &mut g).unwrap();
         if seed % 2 == 1 {
-            let devices = (0..rows * cols)
-                .map(|i| xbar.device(i / cols, i % cols))
-                .collect();
-            xbar =
-                OpticalCrossbar::from_parts(rows, cols, xbar.params.clone(), devices, 7).unwrap();
+            xbar = restored(&xbar);
         }
         xbar
     }
 
-    #[test]
-    fn lane_major_kernel_matches_the_per_device_walk_bit_for_bit() {
+    /// Restores `xbar` through `from_parts` from its device view.
+    fn restored(xbar: &OpticalCrossbar) -> OpticalCrossbar {
+        let (rows, cols) = (xbar.rows(), xbar.cols());
+        let devices = (0..rows * cols)
+            .map(|i| xbar.device(i / cols, i % cols))
+            .collect();
+        OpticalCrossbar::from_parts(rows, cols, xbar.params.clone(), devices, 0).unwrap()
+    }
+
+    /// Asserts the kernel's powers, counts and noisy RNG position on a
+    /// random WDM frame equal the per-device walk's, bit for bit.
+    fn assert_matches_reference_walk(xbar: &OpticalCrossbar, seed: u64) {
         let mut high_noise = Receiver::noisy();
         high_noise.tia.rin_db_hz = -130.0;
-        for seed in 0..60u64 {
-            let xbar = random_grid(seed);
-            let mut g = StdRng::seed_from_u64(seed ^ 0xF00D);
-            let lanes = g.gen_range(1..=16);
-            let drives: Vec<BitVec> = (0..lanes)
-                .map(|_| (0..xbar.rows()).map(|_| g.gen::<bool>()).collect())
-                .collect();
-            let frame = Transmitter::with_capacity(16).encode(&drives).unwrap();
-            let want_powers = reference_walk(&xbar, &frame, &Receiver::ideal(), &mut g).0;
-            let got_powers = xbar.column_powers(&frame);
+        let mut g = StdRng::seed_from_u64(seed ^ 0xF00D);
+        let lanes = g.gen_range(1..=16);
+        let drives: Vec<BitVec> = (0..lanes)
+            .map(|_| (0..xbar.rows()).map(|_| g.gen::<bool>()).collect())
+            .collect();
+        let frame = Transmitter::with_capacity(16).encode(&drives).unwrap();
+        let want_powers = reference_walk(xbar, &frame, &Receiver::ideal(), &mut g).0;
+        let got_powers = xbar.column_powers(&frame);
+        assert_eq!(
+            got_powers.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            want_powers.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            "seed {seed}: column powers"
+        );
+        for rx in [Receiver::ideal(), Receiver::noisy(), high_noise] {
+            let mut r_new = StdRng::seed_from_u64(seed);
+            let mut r_ref = r_new.clone();
+            let got = xbar.mmm_counts(&frame, &rx, &mut r_new).unwrap();
+            let want = reference_walk(xbar, &frame, &rx, &mut r_ref).1;
+            assert_eq!(got, want, "seed {seed}: counts");
             assert_eq!(
-                got_powers.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                want_powers.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                "seed {seed}: column powers"
+                r_new.gen::<u64>(),
+                r_ref.gen::<u64>(),
+                "seed {seed}: RNG position"
             );
-            for rx in [Receiver::ideal(), Receiver::noisy(), high_noise.clone()] {
-                let mut r_new = StdRng::seed_from_u64(seed);
-                let mut r_ref = r_new.clone();
-                let got = xbar.mmm_counts(&frame, &rx, &mut r_new).unwrap();
-                let want = reference_walk(&xbar, &frame, &rx, &mut r_ref).1;
-                assert_eq!(got, want, "seed {seed}: counts");
-                assert_eq!(
-                    r_new.gen::<u64>(),
-                    r_ref.gen::<u64>(),
-                    "seed {seed}: RNG position"
-                );
-            }
+        }
+    }
+
+    #[test]
+    fn lane_major_kernel_matches_the_per_device_walk_bit_for_bit() {
+        for seed in 0..60u64 {
+            assert_matches_reference_walk(&random_grid(seed), seed);
+        }
+    }
+
+    #[test]
+    fn shared_pristine_chain_matches_the_per_device_walk_bit_for_bit() {
+        for seed in 0..12u64 {
+            let mut g = StdRng::seed_from_u64(seed);
+            let (rows, cols) = (g.gen_range(1..80), g.gen_range(2..40));
+            let params = if seed % 2 == 0 {
+                OpcmParams::ideal_binary()
+            } else {
+                OpcmParams::with_levels(4, 0.03)
+            };
+
+            let pristine = OpticalCrossbar::new(rows, cols, params.clone());
+            assert_eq!(pristine.live_cols, 0);
+            assert_matches_reference_walk(&pristine, seed);
+
+            // A programmed prefix of columns leaves a pristine suffix.
+            let mut partial = OpticalCrossbar::new(rows, cols, params.clone());
+            let live = g.gen_range(1..cols);
+            let bits = BitMatrix::from_fn(g.gen_range(1..=rows), live, |_, _| g.gen::<bool>());
+            partial.program_matrix(&bits, &mut g).unwrap();
+            assert_eq!(partial.live_cols, live);
+            assert_matches_reference_walk(&partial, seed);
+
+            // One cell in the last column makes every column live.
+            let mut last = OpticalCrossbar::new(rows, cols, params.clone());
+            last.program_bit(g.gen_range(0..rows), cols - 1, g.gen::<bool>(), &mut g)
+                .unwrap();
+            assert_eq!(last.live_cols, cols);
+            assert_matches_reference_walk(&last, seed);
+
+            let back = restored(&partial);
+            assert_eq!(back.live_cols, partial.live_cols);
+            assert_matches_reference_walk(&back, seed);
         }
     }
 

@@ -265,3 +265,69 @@ fn photonic_prepared_artifact_bytes_are_pinned_across_builds() {
         "photonic .ebm bytes changed: {got:#x}"
     );
 }
+
+// The shape the `accel-wdm` benchmark workload serves: a 64→128→128→10
+// MLP on the default 256×256, K = 16 geometry, so every matrix layer
+// leaves 128 of its crossbar's columns unprogrammed. These constants
+// were recorded before the oPCM kernel began sharing one accumulation
+// chain across unprogrammed columns; the shared chain must reproduce
+// them without regeneration.
+
+fn accel_net(seed: u64) -> (Bnn, Vec<Tensor>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let net = Bnn::new(
+        "wdm-accel-pin",
+        Shape::Flat(64),
+        vec![
+            Layer::FixedLinear(FixedLinear::random("in", 64, 128, &mut rng)),
+            Layer::BinLinear(BinLinear::random("h0", 128, 128, &mut rng)),
+            Layer::Output(OutputLinear::random("out", 128, 10, &mut rng)),
+        ],
+    )
+    .unwrap();
+    // 20 inputs: in `infer_batch` the binary layer packs one full
+    // 16-lane frame and one partial one.
+    let inputs = (0..20)
+        .map(|s| Tensor::from_fn(&[64], |i| ((i * 5 + s * 17) as f32 * 0.07).cos()))
+        .collect();
+    (net, inputs)
+}
+
+const PIN_ACCEL_PHOTONIC_LOGITS: u64 = 0xa501_6eb6_bb9d_e192;
+const PIN_ACCEL_SIM_LOGITS: u64 = 0x80df_2cbc_a6ca_85d2;
+const PIN_ACCEL_SIM_NEXT_DRAW: u64 = 0x8a9f_5e9f_73c8_bd42;
+
+#[test]
+fn accel_shape_noisy_photonic_logits_are_pinned_across_builds() {
+    let (net, inputs) = accel_net(0xACCE1);
+    let mut session = PhotonicBackend::default()
+        .prepare(&net, &noisy_opts(0xD00D))
+        .unwrap();
+    let mut logits: Vec<Tensor> = inputs[..4]
+        .iter()
+        .map(|x| session.infer(x).unwrap())
+        .collect();
+    logits.extend(session.infer_batch(&inputs).unwrap());
+    let got = logits_hash(&logits);
+    assert_eq!(
+        got, PIN_ACCEL_PHOTONIC_LOGITS,
+        "accel-shape photonic logits changed: {got:#x}"
+    );
+}
+
+#[test]
+fn accel_shape_simulator_logits_and_rng_position_are_pinned_across_builds() {
+    let (net, inputs) = accel_net(0xACCE1);
+    let design = Design::einstein_barrier();
+    let mut rng = StdRng::seed_from_u64(0xD00D);
+    let compiled = compile(&design, &net, &mut rng).unwrap();
+    let mut machine = Machine::new(compiled, &design, &mut rng);
+    let logits: Vec<Tensor> = inputs.iter().map(|x| machine.run(x).unwrap()).collect();
+    drop(machine);
+    let got = (logits_hash(&logits), rng.gen::<u64>());
+    assert_eq!(
+        got,
+        (PIN_ACCEL_SIM_LOGITS, PIN_ACCEL_SIM_NEXT_DRAW),
+        "accel-shape simulator stream changed: {got:#x?}"
+    );
+}
